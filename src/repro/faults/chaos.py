@@ -368,8 +368,9 @@ def _guard_grid_worker(config, seed_seq) -> float:
     """Chaos-grid worker: misbehave once, then compute the honest value.
 
     ``config`` is ``(n, behaviour, marker_dir)``.  Marker files carry
-    the "already misbehaved" bit across attempts — each attempt runs in
-    a fresh process, so module state cannot:
+    the "already misbehaved" bit across attempts — a retry may run in a
+    fresh worker process (after a crash or deadline kill) or in the
+    same one (after a raised exception), so module state cannot:
 
     * ``kill`` — first attempt dies with ``os._exit`` (no traceback, no
       exception: the supervisor sees only pipe EOF);

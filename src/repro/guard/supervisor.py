@@ -1,14 +1,13 @@
-"""The supervised process pool: one watched process per grid cell.
+"""The grid supervisor: a pool of persistent, watched worker processes.
 
-:mod:`repro.bench.parallel` fans cells out over a shared
-``ProcessPoolExecutor``; its failure mode is the reason this module
-exists — one worker dying abruptly breaks the *pool* (every sibling
-future collapses into ``BrokenProcessPool``), and a hung worker cannot
-be killed at all without tearing the pool down blind.  The supervisor
-therefore owns its processes directly: every attempt of every cell runs
-in a fresh ``spawn`` process with a private pipe, so the watchdog can
-kill exactly the hung cell, an ``os._exit`` loses exactly one attempt,
-and siblings never observe each other's deaths.
+:func:`run_supervised_grid` is the one multi-process executor behind
+:func:`repro.bench.parallel.run_grid`.  It owns its workers directly —
+each a ``spawn`` process with a private duplex pipe, running one cell
+at a time (:func:`_worker_loop`) — so the watchdog can kill exactly the
+hung cell, an ``os._exit`` loses exactly one attempt, and siblings never
+observe each other's deaths.  A worker serves cell after cell and is
+retired as soon as the supervisor has nothing left to give it; only a
+crash or a deadline kill replaces one.
 
 Event loop
 ----------
@@ -24,18 +23,28 @@ attempt ends in one of four ways:
 * **failure** — it sent ``("error", traceback, verdict, trace, logs)``
   with the transient/permanent verdict classified worker-side
   (:func:`repro.guard.policy.classify_exception`) and whatever
-  observability the attempt flushed before dying;
+  observability the attempt flushed before dying; the worker stays
+  alive for the next cell;
 * **crash** — the pipe hit EOF without a message (``os._exit``, OOM
-  kill, interpreter abort): the dead process is replaced and the cell
+  kill, interpreter abort): the dead worker is replaced and the cell
   retried as a transient failure;
-* **deadline** — the watchdog ``terminate()``-s the process and the
+* **deadline** — the watchdog ``terminate()``-s the worker and the
   cell is retried; a cell whose *last* failure was a deadline kill is
   reported ``timed_out`` rather than ``quarantined``.
 
-Every replaced worker process (crash or deadline kill) counts as a pool
+Every replaced worker (crash or deadline kill) counts as a pool
 rebuild; past :attr:`GuardPolicy.max_pool_rebuilds` the supervisor
 degrades to serial execution (one live worker) for the remaining cells,
 bounding the blast radius of a misbehaving environment.
+
+Unguarded grids
+---------------
+
+``policy=None`` is how ``run_grid`` runs a grid without a guard: one
+attempt per cell, no deadline, no journal, and no supervisor-side
+instruments — no :class:`GridReport` is published and no ``guard.*``
+span, counter or log event is recorded, so an unguarded grid's manifest
+and trace hold only what its workers recorded.
 
 Determinism
 -----------
@@ -76,51 +85,47 @@ from repro.guard.report import (
     record_report,
 )
 from repro.obs.context import TraceContext, context as trace_context, derive_run_id, worker_track
-from repro.obs.log import get_logger
-from repro.obs.metrics import MetricRegistry, collecting, get_registry
+from repro.obs.log import NULL_LOG, get_logger
+from repro.obs.metrics import NULL_REGISTRY, MetricRegistry, collecting, get_registry
 from repro.obs.propagate import obs_spec, worker_observability
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import NULL_TRACER, get_tracer
 
 __all__ = ["GUARD_TRACK", "run_supervised_grid"]
 
 #: Virtual trace track carrying one ``guard.cell`` span per attempt.
 GUARD_TRACK = "guard"
 
-#: How long to wait for a worker that already delivered its message (or
-#: was terminated) to actually exit before escalating to SIGKILL.
+#: How long to wait for a worker that was retired (or terminated) to
+#: actually exit before escalating to SIGKILL.
 _JOIN_GRACE_S = 10.0
 
+#: The policy an unguarded grid runs under: one attempt, no deadline.
+_UNGUARDED = GuardPolicy(retries=0)
 
-def _supervised_child(
-    conn: Connection,
+
+def _run_task(
     worker: Callable,
     config: Any,
     seed_seq: np.random.SeedSequence,
     cache_dir: str | None,
-    spec: dict | None = None,
-) -> None:
-    """Child entry point: run one attempt, ship one message, exit.
+    spec: dict | None,
+) -> tuple:
+    """Run one cell attempt; return the message for the supervisor.
 
-    Mirrors ``bench.parallel._run_in_worker`` (fresh metric registry,
-    shared disk cache, per-cell observability from *spec*) but
-    classifies failures while the live exception object is still in
+    Each attempt gets a fresh metric registry, a compilation cache over
+    the shared *cache_dir* and the per-cell observability *spec* asks
+    for.  Failures are classified while the live exception is still in
     hand — the verdict crosses the process boundary, the exception type
-    does not have to.  The trace/log buffers are flushed into the
-    message on the failure path too, *before* ``conn.send`` — whatever
-    a dying attempt recorded reaches the supervisor instead of dying
-    with the process.
+    does not have to — and the trace/log buffers the attempt flushed
+    before failing ride along in the error message.
     """
-    cache = (
-        CompilationCache(path=cache_dir)
-        if cache_dir is not None
-        else CompilationCache()
-    )
-    tracer, runlog = None, None
+    cache = CompilationCache(path=cache_dir)
+    tracer, runlog = NULL_TRACER, NULL_LOG
     try:
         with collecting() as registry, caching(cache), \
                 worker_observability(spec) as (tracer, runlog):
             result = worker(config, seed_seq)
-        message = (
+        return (
             "ok",
             result,
             registry.snapshot(),
@@ -129,34 +134,41 @@ def _supervised_child(
             runlog.snapshot(),
         )
     except Exception as exc:
-        message = (
+        return (
             "error",
             traceback.format_exc(),
             classify_exception(exc),
-            tracer.snapshot() if tracer is not None else {},
-            runlog.snapshot() if runlog is not None else [],
+            tracer.snapshot(),
+            runlog.snapshot(),
         )
-    try:
-        conn.send(message)
-    except Exception:
-        # The result itself would not pickle: that is deterministic, so
-        # report it as a permanent failure rather than crashing (which
-        # would be retried pointlessly).
+
+
+def _worker_loop(conn: Connection) -> None:
+    """Child entry point: run tasks from *conn* until it sends ``None``.
+
+    A task is ``(worker, config, seed_seq, cache_dir, spec)``; each gets
+    exactly one reply (see :func:`_run_task`).  A worker exception does
+    not end the loop — only a crash, a deadline kill or the ``None``
+    sentinel does.
+    """
+    for task in iter(conn.recv, None):
+        message = _run_task(*task)
         try:
+            conn.send(message)
+        except Exception:
+            # The result itself would not pickle: that is deterministic,
+            # so report it as a permanent failure rather than crashing
+            # (which would be retried pointlessly).
             conn.send(
                 (
                     "error",
-                    f"result for config {config!r} is not picklable:\n"
+                    f"result for config {task[1]!r} is not picklable:\n"
                     f"{traceback.format_exc()}",
                     PERMANENT,
-                    tracer.snapshot() if tracer is not None else {},
-                    runlog.snapshot() if runlog is not None else [],
+                    *message[-2:],
                 )
             )
-        except Exception:
-            pass
-    finally:
-        conn.close()
+    conn.close()
 
 
 @dataclass
@@ -175,37 +187,36 @@ class _Cell:
     trace: dict = field(default_factory=dict)  # successful attempt's spans
     logs: list = field(default_factory=list)  # successful attempt's events
     done: bool = False
-    last_failure: str = ""  # "error" | "crash" | "timeout"
 
 
 @dataclass
-class _Running:
-    """One live worker process executing one attempt."""
+class _Worker:
+    """One live worker process and the attempt it is running, if any."""
 
-    cell: _Cell
     process: Any
     conn: Connection
-    started: float
-    deadline: float | None
+    cell: _Cell | None = None
+    started: float = 0.0
+    deadline: float | None = None
 
 
-def _reap(running: _Running, kill: bool = False) -> None:
+def _reap(worker: _Worker, kill: bool = False) -> None:
     """Join (optionally kill) a finished or condemned worker process."""
-    proc = running.process
+    proc = worker.process
     if kill and proc.is_alive():
         proc.terminate()
     proc.join(_JOIN_GRACE_S)
     if proc.is_alive():
         proc.kill()
         proc.join(_JOIN_GRACE_S)
-    running.conn.close()
+    worker.conn.close()
 
 
 def run_supervised_grid(
     worker: Callable,
     configs: Sequence[Any],
     *,
-    policy: GuardPolicy,
+    policy: GuardPolicy | None,
     jobs: int = 1,
     seed: int = 0,
     cache_dir=None,
@@ -216,10 +227,12 @@ def run_supervised_grid(
 
     Returns ``(results, report)`` where *results* is in config order
     with ``None`` for cells that produced no result (quarantined or
-    timed out) and *report* accounts for every attempt.  The report is
-    also published to the ambient collector
-    (:func:`repro.guard.report.record_report`).  Raising on failures is
-    the caller's decision (``run_grid`` raises under ``strict``).
+    timed out) and *report* accounts for every attempt.  Under a
+    *policy* the report is also published to the ambient collector
+    (:func:`repro.guard.report.record_report`); ``policy=None`` runs the
+    grid unguarded (see the module docstring).  Raising on failures is
+    the caller's decision (``run_grid`` raises unguarded or under
+    ``strict``).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -228,6 +241,13 @@ def run_supervised_grid(
     registry = registry if registry is not None else get_registry()
     tracer = get_tracer()
     runlog = get_logger()
+    # The supervisor's own instruments (guard.* counters, events and
+    # spans) exist only under a guard; worker buffers merge either way.
+    guarded = policy is not None
+    policy = policy if guarded else _UNGUARDED
+    guard_registry = registry if guarded else NULL_REGISTRY
+    guard_log = runlog if guarded else NULL_LOG
+    guard_tracer = tracer if guarded else NULL_TRACER
     parent_cache = get_cache()
     if cache_dir is None and parent_cache.enabled:
         cache_dir = parent_cache.path
@@ -274,8 +294,8 @@ def run_supervised_grid(
                 cell.report.status = STATUS_OK
                 cell.report.from_journal = True
                 report.journal_hits += 1
-                if runlog.enabled:
-                    runlog.info(
+                if guard_log.enabled:
+                    guard_log.info(
                         "guard.journal_hit",
                         config=cell.report.config,
                         cell=cell.index,
@@ -283,55 +303,61 @@ def run_supervised_grid(
 
     pending: list[_Cell] = [c for c in cells if not c.done]
     waiting: list[tuple[float, int, _Cell]] = []  # (wake time, index, cell)
-    running: dict[Connection, _Running] = {}
+    workers: dict[Connection, _Worker] = {}
     ctx = get_context("spawn")
-    max_workers = max(1, min(jobs, len(pending) or 1))
+    max_workers = jobs
 
     def finalize(cell: _Cell, status: str, error: str | None = None) -> None:
         cell.done = True
         cell.report.status = status
         cell.report.error = error
         if status in (STATUS_QUARANTINED, STATUS_TIMED_OUT):
-            if registry.enabled:
-                registry.counter("guard.quarantined").inc()
+            if guard_registry.enabled:
+                guard_registry.counter("guard.quarantined").inc()
 
-    def launch(cell: _Cell) -> None:
+    def spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_loop, args=(child_conn,), daemon=True
+        )
+        proc.start()
+        # Close the parent's copy of the child's end: the pipe then hits
+        # EOF the moment the child dies, however it dies.
+        child_conn.close()
+        workers[parent_conn] = _Worker(process=proc, conn=parent_conn)
+        return workers[parent_conn]
+
+    def retire(w: _Worker) -> None:
+        del workers[w.conn]
+        try:
+            w.conn.send(None)
+        except OSError:
+            pass  # already gone; _reap collects it
+        _reap(w)
+
+    def launch(cell: _Cell, w: _Worker) -> None:
         cell.attempt += 1
         cell.report.attempts = cell.attempt
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_supervised_child,
-            args=(
-                child_conn,
+        w.conn.send(
+            (
                 worker,
                 cell.config,
                 cell.seed_seq,
                 cache_dir,
                 obs_spec(run_id, grid_name, cell.index),
-            ),
-            daemon=True,
+            )
         )
-        proc.start()
-        # Close the parent's copy of the write end: the pipe then hits
-        # EOF the moment the child dies, however it dies.
-        child_conn.close()
-        now = time.monotonic()
-        deadline = (
-            now + policy.cell_timeout_s
+        w.cell = cell
+        w.started = time.monotonic()
+        w.deadline = (
+            w.started + policy.cell_timeout_s
             if policy.cell_timeout_s is not None
             else None
-        )
-        running[parent_conn] = _Running(
-            cell=cell,
-            process=proc,
-            conn=parent_conn,
-            started=now,
-            deadline=deadline,
         )
 
     def attempt_span(cell: _Cell, wall_s: float, outcome: str) -> None:
         cell.report.wall_s += wall_s
-        tracer.add_span(
+        guard_tracer.add_span(
             "guard.cell",
             wall_s,
             GUARD_TRACK,
@@ -358,20 +384,20 @@ def run_supervised_grid(
         tracer.merge_snapshot(trace_snap, prefix=prefix)
         runlog.merge_snapshot(log_snap, worker=cell.index)
 
-    def note_rebuild(cell: _Cell) -> None:
+    def note_rebuild() -> None:
         """A worker process had to be replaced (crash or deadline kill)."""
         nonlocal max_workers
         report.pool_rebuilds += 1
-        if registry.enabled:
-            registry.counter("guard.pool_rebuilds").inc()
+        if guard_registry.enabled:
+            guard_registry.counter("guard.pool_rebuilds").inc()
         if (
             report.pool_rebuilds > policy.max_pool_rebuilds
             and not report.serial_fallback
         ):
             report.serial_fallback = True
             max_workers = 1
-            if runlog.enabled:
-                runlog.warning(
+            if guard_log.enabled:
+                guard_log.warning(
                     "guard.serial_fallback",
                     f"{report.pool_rebuilds} pool rebuilds exceeded the "
                     f"budget; degrading to one worker",
@@ -379,17 +405,16 @@ def run_supervised_grid(
 
     def retry_or_quarantine(cell: _Cell, kind: str, detail: str) -> None:
         """Schedule a transient retry, or hand down the final verdict."""
-        cell.last_failure = kind
         if cell.attempt <= policy.retries:
             cell.report.retries += 1
-            if registry.enabled:
-                registry.counter("guard.retries").inc()
+            if guard_registry.enabled:
+                guard_registry.counter("guard.retries").inc()
             delay = policy.backoff_s(cell.index, cell.attempt)
             cell.report.backoff_s = cell.report.backoff_s + (delay,)
             waiting.append((time.monotonic() + delay, cell.index, cell))
             waiting.sort(key=lambda item: (item[0], item[1]))
-            if runlog.enabled:
-                runlog.warning(
+            if guard_log.enabled:
+                guard_log.warning(
                     "guard.retry",
                     kind,
                     cell=cell.index,
@@ -401,8 +426,8 @@ def run_supervised_grid(
                 STATUS_TIMED_OUT if kind == "timeout" else STATUS_QUARANTINED
             )
             finalize(cell, status, error=detail)
-            if runlog.enabled:
-                runlog.error(
+            if guard_log.enabled:
+                guard_log.error(
                     "guard.quarantine",
                     detail.strip().splitlines()[-1] if detail else "",
                     cell=cell.index,
@@ -410,34 +435,36 @@ def run_supervised_grid(
                     attempts=cell.attempt,
                 )
 
-    def handle_message(run: _Running) -> None:
-        cell = run.cell
+    def handle_message(w: _Worker) -> None:
+        cell = w.cell
         try:
-            message = run.conn.recv()
+            message = w.conn.recv()
         except (EOFError, OSError):
             message = None
-        wall = time.monotonic() - run.started
-        _reap(run)
+        wall = time.monotonic() - w.started
+        w.cell = None
         if message is None:
             # Died without a word: os._exit, SIGKILL, interpreter abort.
             # Nothing to salvage — the buffers died unsent with the
             # process (the except-path flush only covers exceptions).
-            exitcode = run.process.exitcode
+            del workers[w.conn]
+            _reap(w)
+            exitcode = w.process.exitcode
             cell.report.crashes += 1
             attempt_span(cell, wall, "crash")
-            if runlog.enabled:
-                runlog.error(
+            if guard_log.enabled:
+                guard_log.error(
                     "guard.crash",
                     f"exit code {exitcode}",
                     cell=cell.index,
                     attempt=cell.attempt,
                 )
-            note_rebuild(cell)
+            note_rebuild()
             retry_or_quarantine(
                 cell,
                 "crash",
                 f"worker process for config {cell.config!r} died abruptly "
-                f"(exit code {exitcode}) and exhausted its retries",
+                f"(exit code {exitcode})",
             )
             return
         if message[0] == "ok":
@@ -473,8 +500,8 @@ def run_supervised_grid(
             retry_or_quarantine(cell, "error", detail)
         else:
             finalize(cell, STATUS_QUARANTINED, error=detail)
-            if runlog.enabled:
-                runlog.error(
+            if guard_log.enabled:
+                guard_log.error(
                     "guard.quarantine",
                     detail.strip().splitlines()[-1] if detail else "",
                     cell=cell.index,
@@ -482,23 +509,24 @@ def run_supervised_grid(
                     attempts=cell.attempt,
                 )
 
-    def handle_deadline(run: _Running) -> None:
-        cell = run.cell
-        wall = time.monotonic() - run.started
-        _reap(run, kill=True)
+    def handle_deadline(w: _Worker) -> None:
+        cell = w.cell
+        wall = time.monotonic() - w.started
+        del workers[w.conn]
+        _reap(w, kill=True)
         cell.report.timeouts += 1
-        if registry.enabled:
-            registry.counter("guard.timeouts").inc()
+        if guard_registry.enabled:
+            guard_registry.counter("guard.timeouts").inc()
         attempt_span(cell, wall, "timeout")
-        if runlog.enabled:
-            runlog.error(
+        if guard_log.enabled:
+            guard_log.error(
                 "guard.timeout",
                 f"killed after {wall:.1f}s against a "
                 f"{policy.cell_timeout_s:g}s deadline",
                 cell=cell.index,
                 attempt=cell.attempt,
             )
-        note_rebuild(cell)
+        note_rebuild()
         retry_or_quarantine(
             cell,
             "timeout",
@@ -510,36 +538,45 @@ def run_supervised_grid(
     # quarantine, crash, ...) carry the grid's deterministic run id.
     with trace_context(parent_ctx):
         try:
-            while pending or waiting or running:
+            while pending or waiting or workers:
                 now = time.monotonic()
                 while waiting and waiting[0][0] <= now:
                     _, _, cell = waiting.pop(0)
                     pending.append(cell)
-                while pending and len(running) < max_workers:
-                    launch(pending.pop(0))
+                idle = [w for w in workers.values() if w.cell is None]
+                n_busy = len(workers) - len(idle)
+                while pending and n_busy < max_workers:
+                    launch(pending.pop(0), idle.pop(0) if idle else spawn())
+                    n_busy += 1
+                for w in idle:  # nothing left to give it now
+                    retire(w)
 
-                bounds = [r.deadline for r in running.values() if r.deadline]
+                bounds = [w.deadline for w in workers.values() if w.deadline]
                 if waiting:
                     bounds.append(waiting[0][0])
                 now = time.monotonic()
                 timeout = max(0.0, min(bounds) - now) if bounds else None
 
-                if running:
-                    ready = connection_wait(list(running), timeout=timeout)
+                if workers:
+                    ready = connection_wait(list(workers), timeout=timeout)
                     for conn in ready:
-                        handle_message(running.pop(conn))
+                        handle_message(workers[conn])
                 elif waiting:
-                    # Nothing live, first retry still backing off: sleep it
-                    # out.
+                    # Nothing running, first retry still backing off:
+                    # sleep it out.
                     time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
 
                 now = time.monotonic()
-                for conn, run in list(running.items()):
-                    if run.deadline is not None and run.deadline <= now:
-                        handle_deadline(running.pop(conn))
+                for w in list(workers.values()):
+                    if (
+                        w.cell is not None
+                        and w.deadline is not None
+                        and w.deadline <= now
+                    ):
+                        handle_deadline(w)
         finally:
-            for run in running.values():
-                _reap(run, kill=True)
+            for w in workers.values():
+                _reap(w, kill=True)
 
     # -- deterministic merge: config order, exactly like the serial path.
     # Successful cells' trace/log buffers (live or journalled) land on
@@ -560,5 +597,6 @@ def run_supervised_grid(
         if cell.report.from_journal:
             cell.report.n_spans += len(cell.trace.get("spans", ()))
             cell.report.n_log_events += len(cell.logs)
-    record_report(report)
+    if guarded:
+        record_report(report)
     return results, report

@@ -17,7 +17,7 @@ instead is:
   (:meth:`~repro.obs.tracer.Tracer.merge_snapshot`).
 
 :func:`worker_observability` is the worker-side half: installed around
-the cell body in pool workers, supervised children *and* the serial
+every cell in the supervisor's worker processes *and* in the serial
 in-process path, so ``--jobs 1`` and ``--jobs 4`` runs build their
 merged timelines through the identical mechanism.
 """

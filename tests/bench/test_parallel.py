@@ -5,11 +5,17 @@ spawn start method pickles them by reference), hence the little zoo of
 ``_*_worker`` functions below.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro.bench.parallel import WorkerError, run_grid
 from repro.cache import CompilationCache, caching
+from repro.guard import reporting
+from repro.guard.supervisor import GUARD_TRACK
+from repro.obs import tracing
 from repro.obs.metrics import MetricRegistry, collecting
 
 
@@ -28,6 +34,13 @@ def _multi_failing_worker(config, seed_seq):
     if config % 2:
         raise ValueError(f"odd config {config} rejected")
     return config * 10
+
+
+def _exit_on_one_worker(config, seed_seq):
+    if config == 1:
+        os._exit(3)  # dies without a traceback: the parent sees only EOF
+    time.sleep(0.1)  # siblings are still running when config 1 dies
+    return config
 
 
 def _metrics_worker(config, seed_seq):
@@ -121,6 +134,32 @@ class TestCrashSurfacing:
         assert message.startswith("worker failed for config 'bad':")
         assert "more failed config" not in message
         assert excinfo.value.results == ["ok", None]
+
+    def test_dead_worker_loses_only_its_cell(self):
+        with pytest.raises(WorkerError) as excinfo:
+            run_grid(_exit_on_one_worker, [0, 1, 2, 3, 4, 5], jobs=2)
+        err = excinfo.value
+        assert [config for config, _ in err.failures] == [1]
+        assert "died abruptly" in err.detail
+        assert err.results == [0, None, 2, 3, 4, 5]
+
+
+class TestUnguarded:
+    def test_publishes_no_grid_report_or_guard_spans(self):
+        with reporting() as reports, tracing() as tracer:
+            results = run_grid(_seeded_worker, [0, 1, 2], jobs=2)
+        assert [c for c, _ in results] == [0, 1, 2]
+        assert reports == []
+        assert tracer.spans_on(GUARD_TRACK) == []
+
+    def test_failure_publishes_no_grid_report(self):
+        with reporting() as reports, collecting() as registry:
+            with pytest.raises(WorkerError):
+                run_grid(_failing_worker, ["ok", "bad"], jobs=2)
+        assert reports == []
+        assert not any(
+            e["name"].startswith("guard.") for e in registry.snapshot()
+        )
 
 
 class TestMerging:

@@ -2,14 +2,16 @@
 
 Workers live at module top level so the ``spawn`` context can pickle
 them by reference (the convention of ``tests/bench/test_parallel.py``).
-Cross-attempt state lives in marker files — every attempt is a fresh
-process, so module globals reset between attempts.
+Cross-attempt state lives in marker files — a retry may run in a fresh
+process (after a crash or deadline kill), so module globals cannot
+carry it.
 
 Deadlines are generous (seconds) against a 600 s hang: the spawn
 interpreter startup counts toward the cell deadline, and these tests
 must not flake on a loaded CI box.
 """
 
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -71,6 +73,10 @@ def _kill_once_worker(config, seed_seq):
         marker.write_text("attempted")
         os._exit(3)
     return _plain_worker((n,), seed_seq)
+
+
+def _pid_worker(config, seed_seq):
+    return os.getpid()
 
 
 def _hang_worker(config, seed_seq):
@@ -215,6 +221,33 @@ def test_serial_fallback_after_rebuild_budget(tmp_path):
     assert report.serial_fallback
     assert report.pool_rebuilds == 1
     assert "[serial fallback]" in report.render()
+
+
+def test_workers_persist_across_cells():
+    results, report = run_supervised_grid(
+        _pid_worker, list(range(6)), policy=GuardPolicy(), jobs=2, seed=0
+    )
+    assert report.ok
+    assert len(set(results)) <= 2
+
+
+@pytest.mark.parametrize("case", ["clean", "crash", "deadline"])
+def test_no_worker_outlives_the_grid(tmp_path, case):
+    configs = [(n, str(tmp_path)) for n in (1, 2, 3)]
+    if case == "clean":
+        for n in (1, 2, 3):
+            (tmp_path / f"kill-{n}").write_text("runs clean")
+        run_grid(_kill_once_worker, configs, jobs=2, seed=0)
+    elif case == "crash":
+        with pytest.raises(WorkerError):
+            run_grid(_kill_once_worker, configs, jobs=2, seed=0)
+    else:
+        policy = GuardPolicy(cell_timeout_s=3.0, retries=0)
+        results = run_grid(
+            _hang_worker, configs[:2], jobs=2, seed=0, guard=policy
+        )
+        assert results == [None, None]
+    assert multiprocessing.active_children() == []
 
 
 # -- strict mode through run_grid ----------------------------------------------
