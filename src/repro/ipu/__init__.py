@@ -5,9 +5,9 @@ Substitutes for the paper's hardware: a BSP machine model
 (:mod:`repro.ipu.exchange`), a Poplar-like dataflow graph
 (:mod:`repro.ipu.graph`) with codelets (:mod:`repro.ipu.vertices`), a
 compiler that accounts tile memory structurally (:mod:`repro.ipu.compiler`),
-a BSP executor (:mod:`repro.ipu.executor`), poplin/popsparse planners, a
-PopVision-style profiler, and a PopTorch-style bridge for
-:mod:`repro.nn` models (:mod:`repro.ipu.poptorch`).
+a BSP executor (:mod:`repro.ipu.executor`), poplin/popsparse planners,
+and a PopTorch-style bridge for :mod:`repro.nn` models
+(:mod:`repro.ipu.poptorch`).
 """
 
 from repro.ipu.machine import IPUSpec, GC200, GC2
@@ -32,12 +32,6 @@ from repro.ipu.poplin import (
     poptorch_matmul_report,
 )
 from repro.ipu.popsparse import build_spmm_graph, spmm_report
-from repro.ipu.profiler import (
-    ProfilePoint,
-    profile_graph,
-    sweep_profiles,
-    render_profile_table,
-)
 from repro.ipu.poptorch import IPUModule, lower_model
 from repro.ipu.multi import (
     IPULinkSpec,
@@ -80,10 +74,6 @@ __all__ = [
     "poptorch_matmul_report",
     "build_spmm_graph",
     "spmm_report",
-    "ProfilePoint",
-    "profile_graph",
-    "sweep_profiles",
-    "render_profile_table",
     "IPUModule",
     "lower_model",
     "IPULinkSpec",

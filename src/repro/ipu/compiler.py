@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.cache import (
-    NULL_CACHE,
     CacheRecord,
     CompilationCache,
     canonical_key,
@@ -46,7 +45,7 @@ __all__ = [
     "MemoryBreakdown",
     "MemoryReport",
     "GraphProfile",
-    "GraphSummary",
+    "GraphCounts",
     "CompiledGraph",
     "compile_graph",
     "cached_compile",
@@ -221,32 +220,36 @@ class GraphProfile:
 
 
 @dataclass(frozen=True)
-class GraphSummary:
-    """Structural statistics standing in for a :class:`Graph`.
-
-    A warm :func:`cached_compile` hit skips graph *construction*
-    entirely, so there is no ``Graph`` object to attach — the summary
-    (persisted in the cache record) carries exactly the fields
-    :meth:`CompiledGraph.profile` needs.  Anything that must execute the
-    program (:class:`~repro.ipu.executor.Executor`) needs a real graph;
-    use :func:`compile_graph` directly for that.
-    """
+class GraphCounts:
+    """A graph's name and structural counts, measured once per compile."""
 
     name: str
-    n_tiles: int
     n_variables: int
     n_vertices: int
     n_edges: int
     n_compute_sets: int
-    total_variable_bytes: int
+    variable_bytes: int
 
-    def variable_bytes(self) -> int:
-        return self.total_variable_bytes
+    @classmethod
+    def of(cls, graph: Graph) -> "GraphCounts":
+        return cls(
+            name=graph.name,
+            n_variables=graph.n_variables,
+            n_vertices=graph.n_vertices,
+            n_edges=graph.n_edges,
+            n_compute_sets=graph.n_compute_sets,
+            variable_bytes=graph.variable_bytes(),
+        )
 
 
 @dataclass
 class CompiledGraph:
-    """A graph plus its compilation artefacts.
+    """The one record of a compile: the facts a cache hit must reproduce.
+
+    ``counts`` and ``cs_recv`` are measured while compiling, so profiling
+    and timing never walk the graph for them again.  ``cs_recv[i]`` maps
+    each logical tile that runs a vertex of compute set *i* (in sorted
+    order) to the bytes it receives over the exchange in that superstep.
 
     ``excluded_tiles``/``tile_map`` record a degraded compilation: when
     tiles are excluded (permanent tile failures), every logical tile of
@@ -254,15 +257,15 @@ class CompiledGraph:
     holds that logical -> physical mapping (``None`` for a healthy
     compile, where the mapping is the identity).
 
-    ``graph`` is usually the real :class:`Graph`; a warm
-    :func:`cached_compile` hit substitutes a :class:`GraphSummary`
-    (enough for :meth:`profile`, not for execution).
+    ``graph`` is ``None`` on a warm :func:`cached_compile` hit, which
+    never builds the graph: such a record can be profiled, not executed.
     """
 
-    graph: Graph | GraphSummary
+    graph: Graph | None
     spec: IPUSpec
     memory: MemoryReport
-    per_cs_tiles: list[set[int]] = field(default_factory=list)
+    counts: GraphCounts
+    cs_recv: list[dict[int, int]] = field(default_factory=list)
     excluded_tiles: frozenset[int] = frozenset()
     tile_map: np.ndarray | None = None
     #: Slot assignment when compiled with ``plan_memory=True`` (None for
@@ -280,12 +283,11 @@ class CompiledGraph:
         A planned cache hit carries the planned *footprint* but not the
         slot assignment; planning is deterministic, so it is recomputed
         from the real graph here.  Returns ``None`` for unplanned
-        compiles and for warm hits that only have a
-        :class:`GraphSummary`.
+        compiles and for warm hits that carry no graph.
         """
         if self.plan is not None:
             return self.plan
-        if not self.memory.planned or not isinstance(self.graph, Graph):
+        if not self.memory.planned or self.graph is None:
             return None
         self.plan = _plan_memory(self.graph)
         return self.plan
@@ -298,13 +300,13 @@ class CompiledGraph:
 
     def profile(self) -> GraphProfile:
         """Summarise into the Fig 5 quantities."""
-        g = self.graph
+        c = self.counts
         return GraphProfile(
-            n_variables=g.n_variables,
-            n_vertices=g.n_vertices,
-            n_edges=g.n_edges,
-            n_compute_sets=g.n_compute_sets,
-            variable_bytes=g.variable_bytes(),
+            n_variables=c.n_variables,
+            n_vertices=c.n_vertices,
+            n_edges=c.n_edges,
+            n_compute_sets=c.n_compute_sets,
+            variable_bytes=c.variable_bytes,
             total_bytes=self.memory.total_bytes,
             free_bytes=self.memory.free_bytes,
             fits=self.memory.fits,
@@ -376,6 +378,12 @@ def _identity_parts(graph: Graph) -> tuple:
     return ("fingerprint", graph_fingerprint(graph))
 
 
+#: Layout of the cached compile record (see :func:`_record_from`).  Part
+#: of every key, so entries written in an older layout miss and are
+#: recompiled instead of failing to decode.
+_RECORD_VERSION = ("record", 2)
+
+
 def _key_from_parts(
     identity: tuple,
     spec: IPUSpec,
@@ -383,13 +391,12 @@ def _key_from_parts(
     planned: bool = False,
 ) -> str:
     parts = [
+        _RECORD_VERSION,
         identity,
         dataclass_key(spec),
         ("exclude",) + tuple(sorted(excluded)),
     ]
     if planned:
-        # Unplanned keys stay byte-identical to earlier cache versions;
-        # planned compiles get their own namespace.
         parts.append(("plan", "linear-scan-v1"))
     return canonical_key(*parts)
 
@@ -419,15 +426,7 @@ def compile_cache_key(
 
 def _record_from(compiled: CompiledGraph) -> CacheRecord:
     """Encode a compilation's artefacts as a cacheable record."""
-    g = compiled.graph
     b = compiled.memory.breakdown
-    cs_lens = np.array(
-        [len(tiles) for tiles in compiled.per_cs_tiles], dtype=np.int64
-    )
-    cs_tiles = np.array(
-        [t for tiles in compiled.per_cs_tiles for t in sorted(tiles)],
-        dtype=np.int64,
-    )
     arrays = {
         "per_tile_bytes": np.asarray(
             compiled.memory.per_tile_bytes, dtype=np.float64
@@ -443,8 +442,18 @@ def _record_from(compiled: CompiledGraph) -> CacheRecord:
             ],
             dtype=np.float64,
         ),
-        "cs_lens": cs_lens,
-        "cs_tiles": cs_tiles,
+        # The receive table, flattened: per compute set its tile count,
+        # then every (tile, bytes) pair in compute-set order.
+        "cs_lens": np.array(
+            [len(recv) for recv in compiled.cs_recv], dtype=np.int64
+        ),
+        "cs_tiles": np.array(
+            [t for recv in compiled.cs_recv for t in recv], dtype=np.int64
+        ),
+        "cs_recv": np.array(
+            [n for recv in compiled.cs_recv for n in recv.values()],
+            dtype=np.int64,
+        ),
         "excluded": np.array(
             sorted(compiled.excluded_tiles), dtype=np.int64
         ),
@@ -455,27 +464,7 @@ def _record_from(compiled: CompiledGraph) -> CacheRecord:
         arrays["no_reuse_per_tile"] = np.asarray(
             compiled.memory.no_reuse_per_tile_bytes, dtype=np.float64
         )
-    meta = {
-        "graph": {
-            "name": g.name,
-            "n_tiles": int(g.n_tiles),
-            "n_variables": int(g.n_variables),
-            "n_vertices": int(g.n_vertices),
-            "n_edges": int(g.n_edges),
-            "n_compute_sets": int(g.n_compute_sets),
-            "variable_bytes": int(g.variable_bytes()),
-        },
-        "spec": compiled.spec.name,
-    }
-    if compiled.plan is not None:
-        meta["plan"] = {
-            "n_slots": compiled.plan.n_slots,
-            "n_shared_slots": compiled.plan.n_shared_slots,
-            "planned_variable_bytes": int(
-                compiled.plan.planned_variable_bytes
-            ),
-            "reuse_fraction": float(compiled.plan.reuse_fraction),
-        }
+    meta = {"graph": asdict(compiled.counts), "spec": compiled.spec.name}
     return CacheRecord(arrays=arrays, meta=meta)
 
 
@@ -485,45 +474,38 @@ def _compiled_from_record(
     """Decode a cache record back into a :class:`CompiledGraph`.
 
     *graph* is the caller's real graph when one exists (the
-    ``compile_graph`` path); ``None`` substitutes a
-    :class:`GraphSummary` from the record (the warm
+    ``compile_graph`` path), else ``None`` (the warm
     :func:`cached_compile` path, where no graph was ever built).
     """
     arrays = record.arrays
-    breakdown = MemoryBreakdown(*(float(x) for x in arrays["breakdown"]))
     memory = MemoryReport(
         spec=spec,
         per_tile_bytes=arrays["per_tile_bytes"],
-        breakdown=breakdown,
+        breakdown=MemoryBreakdown(
+            *(float(x) for x in arrays["breakdown"])
+        ),
         no_reuse_per_tile_bytes=arrays.get("no_reuse_per_tile"),
     )
-    per_cs_tiles: list[set[int]] = []
+    counts = GraphCounts(**record.meta["graph"])
+    if graph is not None:
+        # A fingerprint key ignores the display name; report the caller's.
+        counts = replace(counts, name=graph.name)
+    tiles = arrays["cs_tiles"].tolist()
+    nbytes = arrays["cs_recv"].tolist()
+    cs_recv: list[dict[int, int]] = []
     offset = 0
-    flat = arrays["cs_tiles"]
-    for length in arrays["cs_lens"]:
-        per_cs_tiles.append(
-            {int(t) for t in flat[offset : offset + int(length)]}
-        )
-        offset += int(length)
-    tile_map = arrays.get("tile_map")
-    if graph is None:
-        info = record.meta["graph"]
-        graph = GraphSummary(
-            name=info["name"],
-            n_tiles=int(info["n_tiles"]),
-            n_variables=int(info["n_variables"]),
-            n_vertices=int(info["n_vertices"]),
-            n_edges=int(info["n_edges"]),
-            n_compute_sets=int(info["n_compute_sets"]),
-            total_variable_bytes=int(info["variable_bytes"]),
-        )
+    for length in arrays["cs_lens"].tolist():
+        end = offset + length
+        cs_recv.append(dict(zip(tiles[offset:end], nbytes[offset:end])))
+        offset = end
     return CompiledGraph(
         graph=graph,
         spec=spec,
         memory=memory,
-        per_cs_tiles=per_cs_tiles,
+        counts=counts,
+        cs_recv=cs_recv,
         excluded_tiles=frozenset(int(t) for t in arrays["excluded"]),
-        tile_map=tile_map if tile_map is not None else None,
+        tile_map=arrays.get("tile_map"),
     )
 
 
@@ -548,74 +530,26 @@ def _raise_oom(
     )
 
 
-def compile_graph(
+def _account(
     graph: Graph,
     spec: IPUSpec,
-    check_fit: bool = True,
-    exclude_tiles: "frozenset[int] | set[int] | None" = None,
-    cache: CompilationCache | None = None,
-    plan_memory: bool = False,
+    excluded: frozenset[int],
+    plan_memory: bool,
 ) -> CompiledGraph:
-    """Account memory for *graph* on *spec*; optionally raise on OOM.
-
-    ``plan_memory=True`` runs the liveness-driven slot allocator
-    (:func:`repro.ipu.memplan.plan_memory`): variables with disjoint
-    live ranges share storage, the per-tile footprint charges slot
-    capacities instead of every variable, and ``check_fit`` gates on the
-    *planned* peak — so problem sizes that OOM unplanned can compile.
-    The no-reuse footprint is kept on the report
-    (:attr:`MemoryReport.no_reuse_per_tile_bytes`) for comparison.
-
-    ``exclude_tiles`` compiles the graph onto the surviving tile set
-    (graceful degradation after permanent tile failures): logical tiles
-    fold round-robin onto surviving physical tiles, concentrating both
-    memory and compute.  :class:`IPUOutOfMemoryError` is raised only when
-    the shrunk SRAM genuinely cannot hold the graph — which is how the
-    dead-tile-tolerance sweep quantifies that compressed (butterfly /
-    pixelfly) models survive far more failed tiles than the dense
-    baseline.
-
-    When a :class:`~repro.cache.CompilationCache` is installed (or
-    passed via *cache*), the call is content-addressed: a hit skips the
-    accounting entirely and returns a ``CompiledGraph`` whose
-    :class:`MemoryReport` is byte-identical to a cold compile's.
-    ``check_fit`` is re-applied to cached results, so an over-capacity
-    graph raises identically hot or cold.
-    """
+    """Compile *graph* cold: charge every tile and measure the record."""
     if graph.n_tiles > spec.n_tiles:
         raise ValueError(
             f"graph built for {graph.n_tiles} tiles, spec has {spec.n_tiles}"
         )
-    excluded = frozenset(int(t) for t in (exclude_tiles or ()))
-    for t in excluded:
-        if not 0 <= t < spec.n_tiles:
-            raise ValueError(
-                f"excluded tile {t} out of range [0, {spec.n_tiles})"
-            )
-    if len(excluded) >= spec.n_tiles:
-        raise ValueError(
-            f"cannot exclude all {spec.n_tiles} tiles of {spec.name}"
-        )
-    cache = cache if cache is not None else get_cache()
-    key: str | None = None
-    if cache.enabled:
-        key = _key_from_parts(
-            _identity_parts(graph), spec, excluded, planned=plan_memory
-        )
-        record = cache.lookup(key)
-        if record is not None:
-            compiled = _compiled_from_record(record, graph, spec)
-            if check_fit and not compiled.memory.fits:
-                _raise_oom(graph.name, compiled.memory, excluded)
-            return compiled
+    counts = GraphCounts.of(graph)
     tracer = get_tracer()
     with tracer.span(
         "compile_graph",
         category="compile",
-        graph=graph.name,
-        n_vertices=graph.n_vertices,
-        n_edges=graph.n_edges,
-        n_compute_sets=graph.n_compute_sets,
+        graph=counts.name,
+        n_vertices=counts.n_vertices,
+        n_edges=counts.n_edges,
+        n_compute_sets=counts.n_compute_sets,
         n_excluded_tiles=len(excluded),
         plan_memory=plan_memory,
     ) as compile_span:
@@ -668,21 +602,19 @@ def compile_graph(
         # Control code per compute set on each participating tile, and
         # exchange receive buffers sized by the heaviest superstep per tile.
         control_total = 0.0
-        per_cs_tiles: list[set[int]] = []
+        cs_recv: list[dict[int, int]] = []
         recv_peak = np.zeros(spec.n_tiles, dtype=np.float64)
         with tracer.span("compile.account_supersteps", category="compile"):
             for cs in graph.compute_sets:
-                tiles: set[int] = set()
-                recv_this = defaultdict(float)
+                recv_this: dict[int, int] = defaultdict(int)
                 for vertex in graph.vertices_in(cs):
-                    tiles.add(vertex.tile)
                     recv_this[vertex.tile] += vertex.remote_input_bytes()
-                for tile in tiles:
+                recv = {t: recv_this[t] for t in sorted(recv_this)}
+                for tile, nbytes in recv.items():
                     per_tile[tile] += spec.cs_control_bytes
                     control_total += spec.cs_control_bytes
-                for tile, nbytes in recv_this.items():
                     recv_peak[tile] = max(recv_peak[tile], nbytes)
-                per_cs_tiles.append(tiles)
+                cs_recv.append(recv)
             per_tile += recv_peak
         exchange_total = float(recv_peak.sum())
 
@@ -755,13 +687,13 @@ def compile_graph(
             # memory split as gauges, and the per-tile byte distribution
             # as a fixed-bucket histogram — all keyed by graph name so a
             # sweep's sizes stay distinguishable in the manifest.
-            name = graph.name
+            name = counts.name
             registry.counter("compile.graphs").inc()
             for metric, value in (
-                ("compile.variables", graph.n_variables),
-                ("compile.vertices", graph.n_vertices),
-                ("compile.edges", graph.n_edges),
-                ("compile.compute_sets", graph.n_compute_sets),
+                ("compile.variables", counts.n_variables),
+                ("compile.vertices", counts.n_vertices),
+                ("compile.edges", counts.n_edges),
+                ("compile.compute_sets", counts.n_compute_sets),
                 ("compile.peak_tile_bytes", report.peak_tile_bytes),
                 ("compile.total_bytes", report.total_bytes),
                 ("compile.variable_bytes", breakdown.variables),
@@ -769,7 +701,7 @@ def compile_graph(
                 ("compile.free_bytes", report.free_bytes),
             ):
                 registry.gauge(metric, graph=name).set(value)
-            if report.planned and plan is not None:
+            if plan is not None:
                 for metric, value in (
                     ("compile.peak_planned_bytes",
                      report.peak_planned_bytes),
@@ -783,22 +715,108 @@ def compile_graph(
             registry.histogram(
                 "compile.tile_bytes", edges=DEFAULT_BYTES_EDGES, graph=name
             ).observe_many(per_tile)
-    compiled = CompiledGraph(
+    return CompiledGraph(
         graph=graph,
         spec=spec,
         memory=report,
-        per_cs_tiles=per_cs_tiles,
+        counts=counts,
+        cs_recv=cs_recv,
         excluded_tiles=excluded,
         tile_map=tile_map,
         plan=plan,
     )
-    if cache.enabled and key is not None:
-        # Unfitting graphs are cached too: the OOM outcome is a pure
-        # function of the report, and is re-raised on every hit below.
-        cache.store(key, _record_from(compiled))
-    if check_fit and not report.fits:
-        _raise_oom(graph.name, report, excluded)
+
+
+def _compile(
+    graph: Graph | None,
+    provenance: tuple | None,
+    build: Callable[[], Graph] | None,
+    spec: IPUSpec,
+    check_fit: bool,
+    exclude_tiles: "frozenset[int] | set[int] | None",
+    cache: CompilationCache | None,
+    plan_memory: bool,
+) -> CompiledGraph:
+    """The one cache path: look up, decode or compile, store, check fit.
+
+    Either *graph* is given (:func:`compile_graph`) or *provenance* and
+    *build* are (:func:`cached_compile`, which builds only on a miss).
+    """
+    excluded = frozenset(int(t) for t in (exclude_tiles or ()))
+    for t in excluded:
+        if not 0 <= t < spec.n_tiles:
+            raise ValueError(
+                f"excluded tile {t} out of range [0, {spec.n_tiles})"
+            )
+    if len(excluded) >= spec.n_tiles:
+        raise ValueError(
+            f"cannot exclude all {spec.n_tiles} tiles of {spec.name}"
+        )
+    cache = cache if cache is not None else get_cache()
+    key: str | None = None
+    record: CacheRecord | None = None
+    if cache.enabled:
+        identity = (
+            _identity_parts(graph)
+            if graph is not None
+            else ("provenance",) + provenance
+        )
+        key = _key_from_parts(identity, spec, excluded, planned=plan_memory)
+        record = cache.lookup(key)
+    if record is not None:
+        compiled = _compiled_from_record(record, graph, spec)
+    else:
+        if graph is None:
+            graph = build()
+            graph.provenance = provenance
+        compiled = _account(graph, spec, excluded, plan_memory)
+        if key is not None:
+            # Unfitting graphs are cached too: the OOM outcome is a pure
+            # function of the report, and is re-raised on every hit.
+            cache.store(key, _record_from(compiled))
+    if check_fit and not compiled.memory.fits:
+        _raise_oom(compiled.counts.name, compiled.memory, excluded)
     return compiled
+
+
+def compile_graph(
+    graph: Graph,
+    spec: IPUSpec,
+    check_fit: bool = True,
+    exclude_tiles: "frozenset[int] | set[int] | None" = None,
+    cache: CompilationCache | None = None,
+    plan_memory: bool = False,
+) -> CompiledGraph:
+    """Account memory for *graph* on *spec*; optionally raise on OOM.
+
+    ``plan_memory=True`` runs the liveness-driven slot allocator
+    (:func:`repro.ipu.memplan.plan_memory`): variables with disjoint
+    live ranges share storage, the per-tile footprint charges slot
+    capacities instead of every variable, and ``check_fit`` gates on the
+    *planned* peak — so problem sizes that OOM unplanned can compile.
+    The no-reuse footprint is kept on the report
+    (:attr:`MemoryReport.no_reuse_per_tile_bytes`) for comparison.
+
+    ``exclude_tiles`` compiles the graph onto the surviving tile set
+    (graceful degradation after permanent tile failures): logical tiles
+    fold round-robin onto surviving physical tiles, concentrating both
+    memory and compute.  :class:`IPUOutOfMemoryError` is raised only when
+    the shrunk SRAM genuinely cannot hold the graph — which is how the
+    dead-tile-tolerance sweep quantifies that compressed (butterfly /
+    pixelfly) models survive far more failed tiles than the dense
+    baseline.
+
+    When a :class:`~repro.cache.CompilationCache` is installed (or
+    passed via *cache*), the call is content-addressed: a hit skips the
+    accounting entirely and returns a ``CompiledGraph`` whose
+    :class:`MemoryReport`, counts and receive table are byte-identical to
+    a cold compile's.
+    ``check_fit`` is re-applied to cached results, so an over-capacity
+    graph raises identically hot or cold.
+    """
+    return _compile(
+        graph, None, None, spec, check_fit, exclude_tiles, cache, plan_memory
+    )
 
 
 def cached_compile(
@@ -817,50 +835,14 @@ def cached_compile(
     ``cached_compile`` keys on *provenance* — a canonical description of
     what *build* would construct, e.g.
     ``("poplin.matmul", m, n, k, codelet, host_io)`` — and calls *build*
-    only on a miss.  A hit returns a :class:`CompiledGraph` carrying a
-    :class:`GraphSummary` in place of the graph: sufficient for
-    :meth:`CompiledGraph.profile` and memory queries, not for execution.
+    only on a miss.  A hit returns a :class:`CompiledGraph` whose
+    ``graph`` is ``None``: sufficient for :meth:`CompiledGraph.profile`
+    and memory queries, not for execution.
 
     The provenance tuple is also attached to the built graph, so a
     plain ``compile_graph`` of the same construction shares the key.
     """
-    excluded = frozenset(int(t) for t in (exclude_tiles or ()))
-    provenance = tuple(provenance)
-    cache = cache if cache is not None else get_cache()
-    if cache.enabled:
-        key = _key_from_parts(
-            ("provenance",) + provenance, spec, excluded,
-            planned=plan_memory,
-        )
-        record = cache.lookup(key)
-        if record is not None:
-            compiled = _compiled_from_record(record, None, spec)
-            if check_fit and not compiled.memory.fits:
-                _raise_oom(compiled.graph.name, compiled.memory, excluded)
-            return compiled
-    graph = build()
-    graph.provenance = provenance
-    if not cache.enabled:
-        return compile_graph(
-            graph,
-            spec,
-            check_fit=check_fit,
-            exclude_tiles=excluded,
-            plan_memory=plan_memory,
-        )
-    # The lookup above already counted this key's miss; compile uncached
-    # and store under the same key so hot and cold stats stay exact.
-    # Fit checking happens after the store: OOM outcomes are cached and
-    # re-raised on hits just like compile_graph's own cached path.
-    compiled = compile_graph(
-        graph,
-        spec,
-        check_fit=False,
-        exclude_tiles=excluded,
-        cache=NULL_CACHE,
-        plan_memory=plan_memory,
+    return _compile(
+        None, tuple(provenance), build, spec, check_fit, exclude_tiles,
+        cache, plan_memory,
     )
-    cache.store(key, _record_from(compiled))
-    if check_fit and not compiled.memory.fits:
-        _raise_oom(graph.name, compiled.memory, excluded)
-    return compiled

@@ -156,6 +156,12 @@ class Executor:
         compiled: CompiledGraph,
         injector: FaultInjector | None = None,
     ) -> None:
+        if compiled.graph is None:
+            raise ValueError(
+                f"compiled graph {compiled.counts.name!r} carries no program "
+                "(a warm cached_compile hit); compile_graph the built graph "
+                "to execute it"
+            )
         self.compiled = compiled
         self.spec = compiled.spec
         self.graph = compiled.graph
@@ -172,30 +178,33 @@ class Executor:
     def _compute_set_timing(self, cs_index: int) -> StepTiming:
         cs = self.graph.compute_sets[cs_index]
         cycles_per_tile: dict[int, float] = defaultdict(float)
-        recv_per_tile: dict[int, int] = defaultdict(int)
         tile_map = self.compiled.tile_map
         for vertex in self.graph.vertices_in(cs):
             tile = (
                 vertex.tile if tile_map is None else int(tile_map[vertex.tile])
             )
             cycles_per_tile[tile] += vertex_cycles(vertex, self.spec)
-            recv_per_tile[tile] += vertex.remote_input_bytes()
+        # Receive bytes were measured at compile time per logical tile; a
+        # degraded compile folds co-located logical tiles together.
+        recv = self.compiled.cs_recv[cs_index]
+        if tile_map is not None:
+            folded: dict[int, int] = defaultdict(int)
+            for tile, nbytes in recv.items():
+                folded[int(tile_map[tile])] += nbytes
+            recv = folded
         compute_s = (
             max(cycles_per_tile.values()) / self.spec.clock_hz
             if cycles_per_tile
             else 0.0
-        )
-        exchange_s = self.exchange.gather_time(
-            {t: b for t, b in recv_per_tile.items() if b > 0}
         )
         sync_s = self.spec.sync_cycles / self.spec.clock_hz
         return StepTiming(
             name=cs.name,
             kind="compute",
             compute_s=compute_s,
-            exchange_s=exchange_s,
+            exchange_s=self.exchange.gather_time(recv),
             sync_s=sync_s,
-            exchange_bytes=int(sum(recv_per_tile.values())),
+            exchange_bytes=sum(recv.values()),
         )
 
     def _copy_timing(self, src: str, dst: str) -> StepTiming:

@@ -124,42 +124,21 @@ class LivenessReport:
         )
 
 
-def _first_def_coverage(graph: Graph) -> dict[str, int]:
-    """Elements written to each variable at its first defining step."""
-    first_def_step: dict[str, int] = {}
-    coverage: dict[str, int] = {}
-    for step_idx, step in enumerate(graph.program):
-        if step.kind == "compute":
-            cs = graph.compute_sets[step.ref]
-            for vertex in graph.vertices_in(cs):
-                for edge in vertex.outputs:
-                    if edge.var not in first_def_step:
-                        first_def_step[edge.var] = step_idx
-                        coverage[edge.var] = 0
-                    if first_def_step[edge.var] == step_idx:
-                        coverage[edge.var] += edge.n_elements
-        elif step.kind == "copy":
-            _, dst = step.ref
-            if dst not in first_def_step:
-                first_def_step[dst] = step_idx
-                coverage[dst] = graph.variables[dst].n_elements
-        elif step.kind == "host_write":
-            if step.ref not in first_def_step:
-                first_def_step[step.ref] = step_idx
-                coverage[step.ref] = graph.variables[step.ref].n_elements
-    return coverage
-
-
 def compute_liveness(graph: Graph) -> LivenessReport:
     """Compute variable live ranges over *graph*'s program order."""
     n_steps = len(graph.program)
     first_def: dict[str, int] = {}
     first_use: dict[str, int] = {}
     last_use: dict[str, int] = {}
+    # Elements written to each variable at its first defining step.
+    coverage: dict[str, int] = {}
 
-    def note_def(var: str, step: int) -> None:
+    def note_def(var: str, step: int, n_elements: int) -> None:
         if var not in first_def:
             first_def[var] = step
+            coverage[var] = 0
+        if first_def[var] == step:
+            coverage[var] += n_elements
         last_use[var] = max(last_use.get(var, step), step)
 
     def note_use(var: str, step: int) -> None:
@@ -174,17 +153,18 @@ def compute_liveness(graph: Graph) -> LivenessReport:
                 for edge in vertex.inputs:
                     note_use(edge.var, step_idx)
                 for edge in vertex.outputs:
-                    note_def(edge.var, step_idx)
+                    note_def(edge.var, step_idx, edge.n_elements)
         elif step.kind == "copy":
             src, dst = step.ref
             note_use(src, step_idx)
-            note_def(dst, step_idx)
+            note_def(dst, step_idx, graph.variables[dst].n_elements)
         elif step.kind == "host_write":
-            note_def(step.ref, step_idx)
+            note_def(
+                step.ref, step_idx, graph.variables[step.ref].n_elements
+            )
         elif step.kind == "host_read":
             note_use(step.ref, step_idx)
 
-    coverage = _first_def_coverage(graph)
     intervals: list[LiveInterval] = []
     always_live_ivs: list[LiveInterval] = []
     always_live = 0
@@ -220,7 +200,7 @@ def compute_liveness(graph: Graph) -> LivenessReport:
                 end=end,
                 nbytes=var.total_bytes,
                 upward_exposed=upward_exposed,
-                fully_defined=coverage.get(name, 0) >= var.n_elements,
+                fully_defined=coverage[name] >= var.n_elements,
                 def_before_use=first_use.get(name, n_steps + 1)
                 > first_def[name],
                 home_tile=var.home_tile,

@@ -32,6 +32,7 @@ class PixelflyLinear(Module):
     def __init__(
         self,
         features: int,
+        *,
         block_size: int = 32,
         butterfly_size: int | None = None,
         rank: int = 1,

@@ -30,6 +30,7 @@ from repro.ipu.compiler import (
     compile_graph,
     graph_fingerprint,
 )
+from repro.ipu.executor import Executor
 from repro.ipu.machine import GC2, GC200
 from repro.ipu.poplin import build_matmul_graph, matmul_provenance
 
@@ -139,6 +140,34 @@ class TestHitsAreByteIdentical:
             )
         assert calls == [1]  # second call never built the graph
         assert compiled.profile().n_vertices > 0
+
+    def test_explicit_null_cache_bypasses_installed_cache(self):
+        installed = CompilationCache()
+        with caching(installed):
+            cached_compile(
+                matmul_provenance(64, 64, 64),
+                small_graph,
+                GC200,
+                check_fit=False,
+                cache=NULL_CACHE,
+            )
+        assert installed.stats.lookups == 0
+        assert len(installed) == 0
+
+    def test_planned_degraded_disk_hit_estimates_like_cold(self, tmp_path):
+        graph = small_graph(128)
+        args = dict(check_fit=False, exclude_tiles={0, 5, 77},
+                    plan_memory=True)
+        cold = compile_graph(
+            graph, GC200, cache=CompilationCache(path=tmp_path), **args
+        )
+        fresh = CompilationCache(path=tmp_path)
+        warm = compile_graph(graph, GC200, cache=fresh, **args)
+        assert fresh.stats.disk_hits == 1
+        assert warm.cs_recv == cold.cs_recv
+        assert Executor(warm).estimate().steps == (
+            Executor(cold).estimate().steps
+        )
 
     def test_oom_raises_even_on_hit(self):
         cache = CompilationCache()

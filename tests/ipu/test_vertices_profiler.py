@@ -1,14 +1,9 @@
-"""Tests for codelet cost models and the profiler."""
+"""Tests for codelet cost models."""
 
 import pytest
 
-from repro.ipu.graph import Edge, Graph, Vertex
+from repro.ipu.graph import Edge, Vertex
 from repro.ipu.machine import GC200
-from repro.ipu.profiler import (
-    profile_graph,
-    render_profile_table,
-    sweep_profiles,
-)
 from repro.ipu.vertices import CODELETS, Codelet, register_codelet, vertex_cycles
 
 
@@ -91,47 +86,3 @@ class TestCosts:
             outputs=[Edge("y", 64)],
         )
         assert vertex_cycles(many, GC200) > vertex_cycles(few, GC200)
-
-
-class TestProfiler:
-    def _graph(self, n_vertices):
-        g = Graph(GC200.n_tiles, name=f"g{n_vertices}")
-        g.add_variable("x", (n_vertices * 16,))
-        g.add_variable("y", (n_vertices * 16,))
-        cs = g.add_compute_set("work")
-        for i in range(n_vertices):
-            g.add_vertex(
-                cs,
-                Vertex(
-                    codelet="ElementwiseUnary",
-                    tile=i % GC200.n_tiles,
-                    inputs=[Edge("x", 16)],
-                    outputs=[Edge("y", 16)],
-                    params={"op": "relu"},
-                ),
-            )
-        return g
-
-    def test_profile_graph(self):
-        profile = profile_graph(self._graph(10), GC200)
-        assert profile.n_vertices == 10
-        assert profile.fits
-
-    def test_sweep(self):
-        points = sweep_profiles(
-            GC200,
-            [4, 16, 64],
-            lambda spec, n: self._graph(n),
-            label="relu",
-        )
-        assert [p.size for p in points] == [4, 16, 64]
-        totals = [p.profile.total_bytes for p in points]
-        assert totals[0] < totals[1] < totals[2]
-
-    def test_render_table(self):
-        points = sweep_profiles(
-            GC200, [4, 8], lambda spec, n: self._graph(n)
-        )
-        text = render_profile_table(points)
-        assert "vertices" in text
-        assert "free mem" in text

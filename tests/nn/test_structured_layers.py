@@ -110,6 +110,12 @@ class TestPixelflyLinear:
         with pytest.raises(ValueError):
             nn.PixelflyLinear(784)
 
+    def test_hyperparameters_are_keyword_only(self):
+        # ``PixelflyLinear(512, 512)`` reads like Linear(in, out) but
+        # would silently mean block_size=512.
+        with pytest.raises(TypeError):
+            nn.PixelflyLinear(512, 512)
+
     def test_hyperparameter_properties(self):
         layer = nn.PixelflyLinear(64, block_size=8, butterfly_size=4, rank=3)
         assert layer.block_size == 8

@@ -16,8 +16,6 @@ which makes any unsound aliasing (a write landing in a buffer someone
 still reads) immediately visible as divergence.
 """
 
-import contextlib
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,39 +25,7 @@ from repro.ipu.compiler import compile_graph
 from repro.ipu.executor import Executor
 from repro.ipu.machine import GC200
 from repro.ipu.poptorch import IPUModule
-from repro.ipu.vertices import CODELETS, Codelet, register_codelet
-
-ESTIMATE_ONLY = (
-    "ButterflyStage",
-    "BlockSparseMatMul",
-    "FWHTStage",
-    "FFTStage",
-)
-
-
-def _double_execute(vertex, state):
-    """Deterministic stand-in: outputs are a function of all inputs."""
-    acc = 0.0
-    for edge in vertex.inputs:
-        acc += float(np.sum(state[edge.var]))
-    for edge in vertex.outputs:
-        out = state[edge.var]
-        out[...] = np.tanh(acc / (1.0 + out.size)) + 1e-3 * vertex.tile
-
-
-@contextlib.contextmanager
-def codelet_doubles():
-    """Temporarily make the estimate-only codelets executable."""
-    originals = {name: CODELETS[name] for name in ESTIMATE_ONLY}
-    try:
-        for name, codelet in originals.items():
-            register_codelet(
-                Codelet(name, codelet.cycles, _double_execute)
-            )
-        yield
-    finally:
-        for codelet in originals.values():
-            register_codelet(codelet)
+from repro.verify.oracles import codelet_doubles, external_inputs
 
 
 def make_layer(method: str, dim: int, seed: int):
@@ -86,21 +52,6 @@ METHODS = [
     "fastfood",
     "circulant",
 ]
-
-
-def external_inputs(graph, seed):
-    written = {e.var for v in graph.vertices for e in v.outputs}
-    for step in graph.program:
-        if step.kind == "copy":
-            written.add(step.ref[1])
-        elif step.kind == "host_write":
-            written.add(step.ref)
-    rng = np.random.default_rng(seed)
-    return {
-        name: rng.standard_normal(var.shape)
-        for name, var in graph.variables.items()
-        if name not in written
-    }
 
 
 @given(
